@@ -25,14 +25,14 @@ levelling argument requires it — see docs/algorithms.md §4).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.quality.functions import QualityFunction
 from repro.units import Dimensionless, PerVolume, QualityFrac, Volume, VolumeArray, VolumeSeq
 
-__all__ = ["inverse_marginal", "lf_cut_mixed"]
+__all__ = ["group_by_function", "inverse_marginal", "lf_cut_mixed"]
 
 
 def inverse_marginal(
@@ -41,8 +41,24 @@ def inverse_marginal(
     """Largest volume whose marginal quality is at least ``slope``.
 
     I.e. ``(f')^{-1}(slope)`` for concave ``f`` (so ``f'`` is
-    non-increasing), clamped to ``[0, x_max]``.  Bisection — works for
-    any :class:`QualityFunction`, closed forms are unnecessary.
+    non-increasing), clamped to ``[0, x_max]``.  Uses the function's
+    closed form (:meth:`QualityFunction.inverse_derivative`); a custom
+    ``f`` without one falls back to :func:`_bisect_inverse_marginal`.
+    """
+    x = f.inverse_derivative(slope)
+    if x is not None:
+        return x
+    return _bisect_inverse_marginal(f, slope, tol=tol, max_iter=max_iter)
+
+
+def _bisect_inverse_marginal(
+    f: QualityFunction, slope: PerVolume, *, tol: Dimensionless = 1e-9, max_iter: int = 200
+) -> Volume:
+    """:func:`inverse_marginal` by bisection on ``f.derivative``.
+
+    Works for any :class:`QualityFunction`; it is the fallback for
+    functions without a closed form and the reference the closed forms
+    are tested against.  Ties (``f'(0) == slope``) keep nothing.
     """
     if slope <= 0:
         return f.x_max
@@ -60,6 +76,27 @@ def inverse_marginal(
         if hi - lo <= tol * max(1.0, f.x_max):
             break
     return 0.5 * (lo + hi)
+
+
+def group_by_function(
+    functions: Sequence[QualityFunction],
+) -> Tuple[List[QualityFunction], List[int]]:
+    """The distinct function objects, and each job's index into them.
+
+    Jobs of one class share their class's function object, so a
+    per-λ quantity of ``f`` alone (its marginal inverse) is computed
+    once per class and read by index for every job of that class.
+    """
+    distinct: List[QualityFunction] = []
+    slot: Dict[int, int] = {}
+    index = []
+    for f in functions:
+        k = slot.get(id(f))
+        if k is None:
+            k = slot[id(f)] = len(distinct)
+            distinct.append(f)
+        index.append(k)
+    return distinct, index
 
 
 def lf_cut_mixed(
@@ -97,33 +134,30 @@ def lf_cut_mixed(
     if not 0.0 < q_target <= 1.0:
         raise ValueError(f"q_target must be in (0, 1], got {q_target!r}")
 
-    potential = sum(float(f(p)) for f, p in zip(functions, demands_arr))
+    demand_list = demands_arr.tolist()
+    potential = sum(f(p) for f, p in zip(functions, demand_list))
     if potential <= 0:
         return demands_arr.copy()
+    distinct, index = group_by_function(functions)
 
-    def targets_at(lam: PerVolume) -> VolumeArray:
-        return np.array(
-            [
-                min(p, inverse_marginal(f, lam))
-                for f, p in zip(functions, demands_arr)
-            ]
-        )
+    # Python floats throughout, so every f(c) takes the scalar fast path.
+    def targets_at(lam: PerVolume) -> List[Volume]:
+        caps = [inverse_marginal(f, lam) for f in distinct]
+        return [min(p, caps[k]) for k, p in zip(index, demand_list)]
 
     def quality_at(lam: PerVolume) -> QualityFrac:
-        return (
-            sum(float(f(c)) for f, c in zip(functions, targets_at(lam))) / potential
-        )
+        return sum(f(c) for f, c in zip(functions, targets_at(lam))) / potential
 
     # λ = 0 keeps everything (quality 1); raising λ cuts deeper.  Find
     # an upper bracket where quality drops below the target.
     lo = 0.0
-    hi = max(float(f.derivative(0.0)) for f in functions)
+    hi = max(float(f.derivative(0.0)) for f in distinct)
     if not np.isfinite(hi):
         hi = 1.0  # PowerQuality has f'(0)=inf; expand below if needed
     while quality_at(hi) > q_target and hi < 1e12:
         hi *= 4.0
     if quality_at(hi) > q_target:  # pragma: no cover - pathological f
-        return targets_at(hi)
+        return np.array(targets_at(hi))
 
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
@@ -133,4 +167,4 @@ def lf_cut_mixed(
             lo = mid
         if hi - lo <= tol * max(hi, 1.0) * 1e-3:
             break
-    return targets_at(lo)
+    return np.array(targets_at(lo))

@@ -11,19 +11,20 @@ KKT inside a binding block now levels the **marginal quality**
     x_i(λ) = clip( (f_i')^{-1}(λ) − o_i, 0, b_i ),
 
 and the allocation is non-increasing in λ, so the λ that exhausts a
-budget is found by bisection.  The binding-prefix recursion is the same
-nested structure as the shared-f version (lowest-λ... highest-λ prefix
-binds first — with marginals the *most starved* prefix is the one whose
-exhausting λ is **largest**).
+budget is found by bisection.  The binding-prefix recursion has the
+same nested structure as the shared-f version, with the order flipped:
+the shared-f version picks the prefix with the *lowest* exhausting
+water level, while with marginals the most starved prefix is the one
+whose exhausting λ is the *highest*, and that prefix binds first.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.cutting_general import inverse_marginal
+from repro.core.cutting_general import group_by_function, inverse_marginal
 from repro.errors import InfeasibleError
 from repro.quality.functions import QualityFunction
 from repro.units import (
@@ -43,16 +44,16 @@ _EPS = 1e-12
 
 def _alloc_at(
     lam: PerVolume,
-    functions: Sequence[QualityFunction],
-    offsets: VolumeArray,
-    bounds: VolumeArray,
-) -> VolumeArray:
-    return np.array(
-        [
-            float(np.clip(inverse_marginal(f, lam) - o, 0.0, b))
-            for f, o, b in zip(functions, offsets, bounds)
-        ]
-    )
+    distinct: Sequence[QualityFunction],
+    index: Sequence[int],
+    offsets: Sequence[Volume],
+    bounds: Sequence[Volume],
+) -> List[Volume]:
+    """Extras at multiplier ``lam``: one marginal inverse per class."""
+    levels = [inverse_marginal(f, lam) for f in distinct]
+    return [
+        min(max(levels[k] - o, 0.0), b) for k, o, b in zip(index, offsets, bounds)
+    ]
 
 
 def _lambda_for_budget(
@@ -66,15 +67,18 @@ def _lambda_for_budget(
     """λ whose allocation sums to ``budget`` (0 if even λ→0 fits)."""
     if float(np.sum(bounds)) <= budget + _EPS:
         return 0.0
+    distinct, index = group_by_function(functions)
+    offs = offsets.tolist()
+    bnds = bounds.tolist()
     lo = 0.0  # allocates everything (too much)
-    hi = max(float(f.derivative(0.0)) for f in functions)
+    hi = max(float(f.derivative(0.0)) for f in distinct)
     if not np.isfinite(hi):
         hi = 1.0
-    while float(np.sum(_alloc_at(hi, functions, offsets, bounds))) > budget and hi < 1e12:
+    while float(np.sum(_alloc_at(hi, distinct, index, offs, bnds))) > budget and hi < 1e12:
         hi *= 4.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if float(np.sum(_alloc_at(mid, functions, offsets, bounds))) > budget:
+        if float(np.sum(_alloc_at(mid, distinct, index, offs, bnds))) > budget:
             lo = mid
         else:
             hi = mid
@@ -143,8 +147,13 @@ def quality_opt_mixed(
         elif best_lam <= 0.0:
             alloc = bounds_arr[block].copy()
         else:
-            alloc = _alloc_at(
-                best_lam, functions[block], offs[block], bounds_arr[block]
+            alloc = np.array(
+                _alloc_at(
+                    best_lam,
+                    *group_by_function(functions[block]),
+                    offs[block].tolist(),
+                    bounds_arr[block].tolist(),
+                )
             )
             # λ is bisected from above, so the allocation may overshoot
             # the budget by a sliver; scale it back under the block

@@ -11,10 +11,16 @@ normalized so ``f(x_max) = 1``.  The family is captured by the
 (marginal quality, needed by Quality-OPT's KKT condition) and the
 inverse (needed by the LF job-cutting's final fractional step).
 
-The paper prescribes binary search for the inverse; :meth:`inverse`
-implements that, while subclasses may additionally provide a
-closed-form ``inverse_exact`` used to cross-check the search in tests.
-All functions accept scalars or NumPy arrays.
+The paper prescribes binary search for the inverse of ``f``;
+:meth:`QualityFunction.inverse` implements that, and the shipped
+subclasses add a closed-form ``inverse_exact`` that tests use to
+cross-check the search.  The inverse of the *marginal* ``f'`` is
+different: the mixed-class cut and Quality-OPT evaluate it inside
+nested bisections, so every shipped subclass answers
+:meth:`QualityFunction.inverse_derivative` in closed form, and custom
+functions that return ``None`` fall back to a bisection on ``f'``
+(:func:`repro.core.cutting_general.inverse_marginal`).  ``f`` and
+``f'`` accept scalars or NumPy arrays.
 """
 
 from __future__ import annotations
@@ -48,6 +54,11 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 
+def _clamp(x: Volume, x_max: Volume) -> Volume:
+    """``x`` clamped to ``[0, x_max]`` (a negative zero becomes 0.0)."""
+    return 0.0 if x <= 0.0 else min(x, x_max)
+
+
 class QualityFunction(ABC):
     """Non-decreasing concave map from processed volume to quality.
 
@@ -78,18 +89,36 @@ class QualityFunction(ABC):
 
     def derivative(self, x: ArrayLike) -> ArrayLike:
         """Marginal quality ``f'(x)`` (0 beyond ``x_max``)."""
+        if type(x) is float or type(x) is int:  # scalar fast path
+            if x < 0:
+                raise ValueError("processed volume must be non-negative")
+            if x >= self.x_max:
+                return 0.0
+            return self._slope_scalar(float(x))
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0):
             raise ValueError("processed volume must be non-negative")
         out = np.where(arr >= self.x_max, 0.0, self._slope(np.minimum(arr, self.x_max)))
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
+    def inverse_derivative(self, slope: PerVolume) -> Volume | None:
+        """Closed-form ``(f')^{-1}(slope)`` clamped to ``[0, x_max]``.
+
+        The largest volume whose marginal quality is still at least
+        ``slope``: ``x_max`` when ``slope <= 0``, 0 when
+        ``slope >= f'(0)``.  The base class has no closed form and
+        returns ``None``, which sends
+        :func:`repro.core.cutting_general.inverse_marginal` to its
+        bisection on :meth:`derivative`.
+        """
+        return None
+
     def inverse(self, q: QualityFrac, *, tol: Volume = 1e-9, max_iter: int = 200) -> Volume:
         """Smallest volume whose quality is ``q``, via binary search.
 
         The paper (§III-B step 5) uses binary search on the concave
         function; we keep that as the canonical implementation and use
-        closed forms only for cross-checking.
+        the subclasses' ``inverse_exact`` only for cross-checking.
 
         Parameters
         ----------
@@ -124,6 +153,15 @@ class QualityFunction(ABC):
         evaluates f twice per settled job).
         """
         return float(self._value(np.float64(x)))
+
+    def _slope_scalar(self, x: Volume) -> PerVolume:
+        """Scalar derivative for ``x`` already in [0, x_max).
+
+        Routes through the vectorized :meth:`_slope`, so the scalar fast
+        path of :meth:`derivative` returns the same bits as the array
+        path.
+        """
+        return float(self._slope(np.float64(x)))
 
     @abstractmethod
     def _value(self, x: VolumeArray) -> QualityArray:
@@ -161,6 +199,15 @@ class ExponentialQuality(QualityFunction):
     def _slope(self, x: np.ndarray) -> np.ndarray:
         return self.c * np.exp(-self.c * x) / self._norm
 
+    def inverse_derivative(self, slope: PerVolume) -> Volume:
+        """``f'(x) = c·e^{-cx}/norm``, so ``x = -ln(slope·norm/c)/c``."""
+        if slope >= self.c / self._norm:  # f'(0): a tie keeps nothing
+            return 0.0
+        ratio = slope * self._norm / self.c
+        if ratio <= 0.0:  # slope <= 0, or so small that it underflows
+            return self.x_max
+        return _clamp(-math.log(ratio) / self.c, self.x_max)
+
     def inverse_exact(self, q: QualityFrac) -> Volume:
         """Closed-form inverse, for cross-checking the binary search."""
         if not 0.0 <= q <= 1.0:
@@ -184,8 +231,16 @@ class LinearQuality(QualityFunction):
     def _value(self, x: VolumeArray) -> QualityArray:
         return x / self.x_max
 
+    def _value_scalar(self, x: Volume) -> QualityFrac:
+        return x / self.x_max
+
     def _slope(self, x: np.ndarray) -> np.ndarray:
         return np.full_like(x, 1.0 / self.x_max)
+
+    def inverse_derivative(self, slope: PerVolume) -> Volume:
+        """All or nothing: ``f'`` is the constant ``1/x_max``; a tie
+        (``slope == 1/x_max``) keeps nothing."""
+        return 0.0 if 1.0 / self.x_max <= slope else self.x_max
 
     def inverse_exact(self, q: QualityFrac) -> Volume:
         """Closed-form inverse."""
@@ -209,6 +264,15 @@ class LogQuality(QualityFunction):
 
     def _slope(self, x: np.ndarray) -> np.ndarray:
         return self.k / ((1.0 + self.k * x) * self._norm)
+
+    def inverse_derivative(self, slope: PerVolume) -> Volume:
+        """``f'(x) = k/((1+kx)·norm)``, so ``x = 1/(slope·norm) - 1/k``."""
+        if slope >= self.k / self._norm:  # f'(0): a tie keeps nothing
+            return 0.0
+        scaled = slope * self._norm
+        if scaled <= 0.0:  # slope <= 0, or so small that it underflows
+            return self.x_max
+        return _clamp(1.0 / scaled - 1.0 / self.k, self.x_max)
 
     def inverse_exact(self, q: QualityFrac) -> Volume:
         """Closed-form inverse."""
@@ -238,6 +302,16 @@ class PowerQuality(QualityFunction):
                 np.inf if self.gamma < 1.0 else 1.0 / self.x_max,
             )
         return slope
+
+    def inverse_derivative(self, slope: PerVolume) -> Volume:
+        """``f'(x) = γ·(x/x_max)^{γ-1}/x_max``, so
+        ``x = x_max·(slope·x_max/γ)^{1/(γ-1)}``; ``γ = 1`` is linear."""
+        if self.gamma >= 1.0:  # linear: all or nothing, a tie keeps nothing
+            return 0.0 if 1.0 / self.x_max <= slope else self.x_max
+        base = slope * self.x_max / self.gamma
+        if base <= 1.0:  # slope <= f'(x_max); also keeps the power finite
+            return self.x_max
+        return _clamp(self.x_max * base ** (1.0 / (self.gamma - 1.0)), self.x_max)
 
     def inverse_exact(self, q: QualityFrac) -> Volume:
         """Closed-form inverse."""

@@ -8,8 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cutting import lf_cut_waterline
-from repro.core.cutting_general import inverse_marginal, lf_cut_mixed
-from repro.quality.functions import ExponentialQuality, LinearQuality, LogQuality
+from repro.core.cutting_general import (
+    _bisect_inverse_marginal,
+    group_by_function,
+    inverse_marginal,
+    lf_cut_mixed,
+)
+from repro.quality.functions import (
+    ExponentialQuality,
+    LinearQuality,
+    LogQuality,
+    PowerQuality,
+    QualityFunction,
+)
 
 F_SEARCH = ExponentialQuality(c=0.003, x_max=1000.0)
 F_VIDEO = ExponentialQuality(c=0.0009, x_max=1000.0)
@@ -39,6 +50,128 @@ class TestInverseMarginal:
         slope = 1.0 / 1000.0
         assert inverse_marginal(f, slope * 2) == 0.0
         assert inverse_marginal(f, slope / 2) == f.x_max
+
+
+TOL = 1e-9  # inverse_marginal's default bisection tolerance
+
+x_maxes = st.floats(min_value=1.0, max_value=5000.0)
+shipped_functions = st.one_of(
+    st.builds(ExponentialQuality, c=st.floats(min_value=1e-4, max_value=0.02), x_max=x_maxes),
+    st.builds(LogQuality, k=st.floats(min_value=1e-4, max_value=1.0), x_max=x_maxes),
+    # Closer to γ=1 than 1e-9, f' is flat to within rounding and the
+    # inverse is ill-conditioned for the bisection and the algebra alike.
+    st.builds(
+        PowerQuality,
+        gamma=st.one_of(st.floats(min_value=1e-3, max_value=1 - 1e-9), st.just(1.0)),
+        x_max=x_maxes,
+    ),
+    st.builds(LinearQuality, x_max=x_maxes),
+)
+
+
+def slope_span(f):
+    """Slopes from half ``f'(x_max)`` to twice ``f'(0)`` (finite stand-in
+    for ``f'(0) = ∞``)."""
+    low = float(f.derivative(f.x_max * (1 - 1e-12))) / 2
+    head = float(f.derivative(0.0))
+    if not np.isfinite(head):
+        head = float(f.derivative(f.x_max * 1e-9))
+    return low, 2 * head
+
+
+class TestClosedFormInverse:
+    """Each shipped function's ``inverse_derivative`` against the
+    bisection it replaces on the hot path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=shipped_functions, t=st.floats(min_value=0.0, max_value=1.0))
+    def test_agrees_with_bisection(self, f, t):
+        low, high = slope_span(f)
+        slope = low * (high / low) ** t
+        closed = f.inverse_derivative(slope)
+        assert 0.0 <= closed <= f.x_max
+        reference = _bisect_inverse_marginal(f, slope)
+        assert closed == pytest.approx(reference, abs=TOL * max(1.0, f.x_max))
+        assert inverse_marginal(f, slope) == closed
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=shipped_functions, slope=st.sampled_from([0.0, -0.0, -1e-300, -1.0]))
+    def test_non_positive_slope_keeps_everything(self, f, slope):
+        assert f.inverse_derivative(slope) == f.x_max
+        assert _bisect_inverse_marginal(f, slope) == f.x_max
+
+    @pytest.mark.parametrize(
+        "f",
+        [F_SEARCH, F_VIDEO, F_LOG, ExponentialQuality(c=0.02, x_max=37.0)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-15, 3.0, float("inf")])
+    def test_slope_at_or_above_head_keeps_nothing(self, f, factor):
+        slope = float(f.derivative(0.0)) * factor
+        assert f.inverse_derivative(slope) == 0.0
+        assert _bisect_inverse_marginal(f, slope) == 0.0
+
+    def test_tiny_positive_slope_keeps_everything(self):
+        for f in (F_SEARCH, F_LOG, PowerQuality(gamma=0.5, x_max=1000.0)):
+            assert f.inverse_derivative(5e-324) == f.x_max
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+    def test_power_infinite_head_slope(self, gamma):
+        """``f'(0) = ∞``: every finite slope keeps a positive volume, and
+        only an infinite slope keeps nothing."""
+        f = PowerQuality(gamma=gamma, x_max=1000.0)
+        assert f.derivative(0.0) == float("inf")
+        for slope in (1e3, 1e8):
+            closed = f.inverse_derivative(slope)
+            assert 0.0 < closed < f.x_max
+            assert closed == pytest.approx(
+                _bisect_inverse_marginal(f, slope), abs=TOL * f.x_max
+            )
+        assert f.inverse_derivative(float("inf")) == 0.0
+
+    @pytest.mark.parametrize(
+        "f",
+        [LinearQuality(x_max=1000.0), LinearQuality(x_max=3.0), PowerQuality(gamma=1.0)],
+        ids=repr,
+    )
+    def test_linear_tie_keeps_nothing(self, f):
+        """At exactly ``slope == 1/x_max`` the bisection keeps nothing."""
+        tie = 1.0 / f.x_max
+        below = np.nextafter(tie, 0.0)
+        for slope, expected in ((tie, 0.0), (below, f.x_max), (tie * 2, 0.0)):
+            assert f.inverse_derivative(slope) == expected
+            assert _bisect_inverse_marginal(f, slope) == expected
+
+    def test_custom_function_falls_back_to_bisection(self):
+        class SquashedLinear(QualityFunction):
+            """``f(x) = 1 - (1 - x/x_max)^2``: concave, no closed form hook."""
+
+            def __init__(self, x_max):
+                super().__init__(x_max)
+                self.derivative_calls = 0
+
+            def _value(self, x):
+                return 1.0 - (1.0 - x / self.x_max) ** 2
+
+            def _slope(self, x):
+                self.derivative_calls += 1
+                return 2.0 * (1.0 - x / self.x_max) / self.x_max
+
+        f = SquashedLinear(500.0)
+        assert f.inverse_derivative(1e-3) is None
+        for slope in (1e-4, 1e-3, 3e-3):
+            f.derivative_calls = 0
+            got = inverse_marginal(f, slope)
+            assert f.derivative_calls > 10  # bisected, not closed form
+            assert got == _bisect_inverse_marginal(f, slope)
+            # f'(x) = 2(1 - x/x_max)/x_max  =>  x = x_max(1 - slope·x_max/2)
+            assert got == pytest.approx(500.0 * (1 - slope * 250.0), abs=TOL * 500.0)
+
+    def test_group_by_function_is_by_identity(self):
+        twin = ExponentialQuality(c=0.003, x_max=1000.0)  # equal, not identical
+        distinct, index = group_by_function([F_SEARCH, F_VIDEO, F_SEARCH, twin])
+        assert distinct == [F_SEARCH, F_VIDEO, twin]
+        assert index == [0, 1, 0, 2]
 
 
 class TestMixedCut:

@@ -72,6 +72,36 @@ class TestContract:
         assert vec == pytest.approx([f(float(x)) for x in xs])
 
 
+SCALAR_PATH_FUNCTIONS = ALL_FUNCTIONS + [
+    ExponentialQuality(c=1e-4, x_max=250.0),
+    LogQuality(k=0.5, x_max=40.0),
+    PowerQuality(gamma=1.0, x_max=1000.0),
+    PowerQuality(gamma=0.2, x_max=3.0),
+]
+
+
+@pytest.mark.parametrize("f", SCALAR_PATH_FUNCTIONS, ids=lambda f: repr(f))
+def test_scalar_derivative_matches_array_path_bitwise(f):
+    """The scalar fast path of ``derivative`` returns the array path's bits."""
+    points = [0.0, 0, 1e-9, 0.37 * f.x_max, 0.5 * f.x_max, f.x_max, f.x_max * 2]
+    for x in points:
+        scalar = f.derivative(x)
+        array = f.derivative(np.array([x], dtype=float))[0]
+        zero_d = f.derivative(np.float64(x))
+        assert type(scalar) is float
+        assert scalar.hex() == float(array).hex() == zero_d.hex(), x
+    with pytest.raises(ValueError):
+        f.derivative(-1e-12)
+    with pytest.raises(ValueError):
+        f.derivative(-1)
+
+
+def test_linear_scalar_value_matches_array_path_bitwise():
+    f = LinearQuality(x_max=1000.0)
+    for x in (0.0, 1e-9, 333.3, 999.999, 1000.0, 2500.0):
+        assert f(x).hex() == float(f(np.array([x]))[0]).hex()
+
+
 @pytest.mark.parametrize(
     "f",
     [f for f in ALL_FUNCTIONS if hasattr(f, "inverse_exact")],
