@@ -32,7 +32,7 @@ from repro.core.load import ArrivalRateEstimator
 from repro.core.modes import ExecutionMode, ModeController
 from repro.core.planner import build_core_plan, core_power_demand, edf_sort
 from repro.obs.tracer import TracerLike
-from repro.units import PerSecond, PowerBudget, QualityFrac, Seconds, Volume, WattsArray
+from repro.units import PerSecond, QualityFrac, Seconds, Volume, WattsArray
 from repro.power.distribution import (
     EqualSharing,
     HybridDistribution,
@@ -575,14 +575,6 @@ class GEScheduler(Scheduler):
         decision = policy.distribute(sub, machine.budget)
         caps[alive] = decision.caps
         return caps, decision.policy
-
-    def _distribute(self, demands_w: WattsArray, budget: PowerBudget, now: Seconds):
-        if self.distribution_mode == "es":
-            return self._hybrid.light.distribute(demands_w, budget)
-        if self.distribution_mode == "wf":
-            return self._hybrid.heavy.distribute(demands_w, budget)
-        heavy = self.estimator.is_heavy(now, self._critical_rate)
-        return self._hybrid.distribute_for_load(demands_w, budget, heavy)
 
     def _core_loads(self) -> List[Volume]:
         return [

@@ -47,46 +47,94 @@ def prefix_feasible(
     return bool(np.all(slack >= -rel_tol * np.maximum(1.0, capacities)))
 
 
+def _np_sum(values: VolumeSeq) -> Volume:
+    """``np.sum`` of a list: the exact value a decision or result needs.
+
+    numpy's summation order is its own (pairwise and vectorized for
+    n ≥ 8), so it is never re-implemented here; this is one reduction
+    over a fresh array, bitwise equal to ``np.sum`` over any slice
+    holding the same values.
+    """
+    return float(np.add.reduce(np.array(values, dtype=float)))
+
+
+def _sum_exceeds(values: VolumeSeq, threshold: Volume) -> bool:
+    """``np.sum(values) > threshold``, decided from a Python-level sum.
+
+    ``sum`` accumulates left to right (compensated on Python ≥ 3.12).
+    For non-negative terms either way it differs from numpy's
+    ``np.sum`` by far less than ``(n+1)·1e-14·sum``, so only
+    comparisons landing inside that band pay for the exact reduction.
+    """
+    running = sum(values)
+    gap = running - threshold
+    tol = (len(values) + 1) * 1e-14 * running
+    if gap > tol:
+        return True
+    if gap < -tol:
+        return False
+    return _np_sum(values) > threshold
+
+
+def _clip_row(w: Volume, offsets: VolumeSeq, bounds: VolumeSeq) -> list:
+    """``np.clip(w − offsets, 0, bounds)`` elementwise on Python floats.
+
+    The conditional expressions mirror numpy's float clip
+    (``max`` as ``x > lo ? x : lo``, then ``min`` as ``y < hi ? y : hi``),
+    signed zeros included.
+    """
+    row = []
+    for o, b in zip(offsets, bounds):
+        x = w - o
+        if not x > 0.0:
+            x = 0.0
+        row.append(x if x < b else b)
+    return row
+
+
 def _waterline_for_budget(
-    offsets: VolumeArray, bounds: VolumeArray, budget: Volume
+    offsets: VolumeSeq, bounds: VolumeSeq, budget: Volume
 ) -> Volume:
     """Water level ``w`` with ``Σ clip(w − offset_i, 0, bound_i) = budget``.
 
     Returns ``inf`` when even ``w = max(offset+bound)`` does not exhaust
-    the budget (i.e. every job can be fully processed).
+    the budget (i.e. every job can be fully processed).  Inputs are
+    Python lists of floats.
     """
-    tops = offsets + bounds
-    if float(np.sum(bounds)) <= budget + _EPS:
+    if not _sum_exceeds(bounds, budget + _EPS):
         return float("inf")
     # The allocation Σ clip(w − o_i, 0, b_i) is piecewise linear and
-    # non-decreasing in w with breakpoints at offsets and tops.  The
-    # breakpoint set is deduped/sorted in Python — same values as the
-    # ``np.unique(np.concatenate(...))`` it replaced (inputs are
-    # non-negative, so no −0.0/+0.0 representative ambiguity) at a
-    # fraction of the per-call cost on the small arrays seen here.
-    olist = offsets.tolist()
-    tlist = tops.tolist()
-    points = np.asarray(sorted(set(olist) | set(tlist)))
-
-    # Find the bracketing breakpoints, then solve the linear piece.  The
-    # allocation at every breakpoint is computed in one 2-D reduction;
-    # numpy's row-wise ``np.sum(..., axis=1)`` is bitwise equal to the
-    # per-point 1-D ``np.sum`` scan it replaced (asserted in
-    # tests/core/test_quality_opt.py).
-    alloc_all = np.sum(np.clip(points[:, None] - offsets, 0.0, bounds), axis=1)
-    mask = alloc_all >= budget - _EPS
-    if mask.any():
-        idx = int(np.argmax(mask))
-        hi = float(points[idx])
-        lo = float(points[idx - 1]) if idx > 0 else float(points[0])
-        alloc_lo = float(alloc_all[idx - 1]) if idx > 0 else float(alloc_all[0])
-    else:  # pragma: no cover - Σ bounds > budget guarantees a hit
-        lo = hi = float(points[-1])
-        alloc_lo = float(alloc_all[-1])
+    # non-decreasing in w with breakpoints at offsets and tops (the
+    # same values ``np.unique`` would give: inputs are non-negative, so
+    # there is no −0.0/+0.0 representative ambiguity).  Scan them in
+    # ascending order and stop at the first whose ``np.sum`` allocation
+    # reaches ``budget − _EPS``.  Each test is decided on a sequential
+    # sum, with the exact ``np.sum`` only inside the error band (see
+    # ``_sum_exceeds``).
+    tops = [o + b for o, b in zip(offsets, bounds)]
+    points = sorted(set(offsets) | set(tops))
+    target = budget - _EPS
+    band = (len(bounds) + 1) * 1e-14
+    lo = points[0]
+    for p in points:
+        alloc = 0.0
+        for o, b in zip(offsets, bounds):
+            x = p - o
+            if x > 0.0:
+                alloc += x if x < b else b
+        gap = alloc - target
+        tol = band * alloc
+        if gap > tol or (
+            gap >= -tol and _np_sum(_clip_row(p, offsets, bounds)) >= target
+        ):
+            break
+        lo = p
+    hi = p  # the last point when none reaches (Σ bounds > budget rules that out)
+    alloc_lo = _np_sum(_clip_row(lo, offsets, bounds))
     # On (lo, hi] the slope is the number of jobs with offset <= lo < top.
     lo_eps = lo + _EPS
     active = 0
-    for o, tp in zip(olist, tlist):
+    for o, tp in zip(offsets, tops):
         if o <= lo_eps and tp > lo_eps:
             active += 1
     if active <= 0:
@@ -187,8 +235,6 @@ def quality_opt(
         for o in olist:
             if o < 0:
                 raise ValueError("offsets must be non-negative and match bounds")
-    bounds_arr = np.asarray(blist)
-    offs = np.asarray(olist)
 
     clist = []
     for d in dlist:
@@ -200,12 +246,12 @@ def quality_opt(
     # All-fits fast path: when every EDF prefix fits its capacity, no
     # prefix binds and the nested water-filling below grants every bound
     # in full (its ``best_w == inf`` exit).  Prefix sums are tracked
-    # with a cheap sequential running sum; numpy's pairwise ``np.sum``
-    # (which the general loop evaluates) can differ from it by at most
-    # ~(k+1)·eps relative, so comparisons landing inside a conservative
-    # error band are re-decided with the exact ``np.sum`` expression.
-    # Taking this path therefore cannot change the result by even an
-    # ulp.
+    # with a cheap sequential running sum; numpy's ``np.sum`` (which
+    # the waterline's exit compares against) can differ from it by at
+    # most ~(k+1)·eps relative, so comparisons landing inside a
+    # conservative error band are re-decided with the exact ``np.sum``
+    # (the same rule as ``_sum_exceeds``).  Taking this path therefore
+    # cannot change the result by even an ulp.
     all_fit = True
     running = 0.0
     for k in range(n):
@@ -219,13 +265,15 @@ def quality_opt(
         if gap > tol:
             all_fit = False
             break
-        if gap > -tol and float(np.sum(bounds_arr[: k + 1])) > cap_k + _EPS:
+        if gap > -tol and _np_sum(blist[: k + 1]) > cap_k + _EPS:
             all_fit = False
             break
     if all_fit:
-        return bounds_arr.copy()
+        return np.array(blist)
 
-    result = np.zeros(n)
+    # The nested water-filling stays on Python lists as well; the
+    # result becomes an ndarray only on return.
+    result: list = []
     start = 0
     consumed = 0.0
     pos_idx = 0  # first index >= start holding a bound > _EPS (lazily advanced)
@@ -233,8 +281,6 @@ def quality_opt(
         # Waterline for every candidate prefix of the remaining jobs.
         best_k = None
         best_w = float("inf")
-        sub_off = offs[start:]
-        sub_bnd = bounds_arr[start:]
         if pos_idx < start:
             pos_idx = start
         while pos_idx < n and not blist[pos_idx] > _EPS:
@@ -244,27 +290,27 @@ def quality_opt(
             if budget <= _EPS:
                 # No capacity before this deadline: its prefix gets 0.
                 # (The prefix holds positive work iff the first positive
-                # bound at or past ``start`` falls inside it — same truth
-                # value as ``np.any(sub_bnd[:k+1] > _EPS)``.)
+                # bound at or past ``start`` falls inside it.)
                 w = -float("inf") if pos_idx <= start + k else float("inf")
                 if w < best_w:
                     best_w = w
                     best_k = k
                 continue
-            w = _waterline_for_budget(sub_off[: k + 1], sub_bnd[: k + 1], budget)
+            end = start + k + 1
+            w = _waterline_for_budget(olist[start:end], blist[start:end], budget)
             if w < best_w - _EPS:
                 best_w = w
                 best_k = k
         if best_k is None or best_w == float("inf"):
             # No prefix binds: every remaining job is fully served.
-            result[start:] = bounds_arr[start:]
+            result.extend(blist[start:])
             break
-        block = slice(start, start + best_k + 1)
+        end = start + best_k + 1
         if best_w == -float("inf"):
-            alloc = np.zeros(best_k + 1)
+            alloc = [0.0] * (best_k + 1)
         else:
-            alloc = np.clip(best_w - offs[block], 0.0, bounds_arr[block])
-        result[block] = alloc
-        consumed += float(np.sum(alloc))
-        start = start + best_k + 1
-    return result
+            alloc = _clip_row(best_w, olist[start:end], blist[start:end])
+        result.extend(alloc)
+        consumed += _np_sum(alloc)
+        start = end
+    return np.array(result)

@@ -166,20 +166,32 @@ SUITE: Dict[str, BenchScenario] = {
 }
 
 
-def _git_rev() -> Optional[str]:
-    """Short git revision of the working tree, if available."""
+def _git(*args: str) -> Optional[str]:
+    """Output of a git command run beside this file, or ``None``."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=10,
             cwd=Path(__file__).resolve().parent,
         )
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _git_provenance() -> Dict[str, Any]:
+    """Short revision and dirty flag of the working tree, if available.
+
+    ``git_dirty`` is true when tracked files differ from ``git_rev``, so
+    a snapshot measured on an uncommitted tree says so.
+    """
+    rev = _git("rev-parse", "--short", "HEAD")
+    if not rev:
+        return {"git_rev": None, "git_dirty": None}
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {"git_rev": rev, "git_dirty": None if status is None else bool(status)}
 
 
 def _peak_rss_kb() -> Optional[float]:
@@ -393,7 +405,7 @@ def collect_snapshot(
         "schema": BENCH_SCHEMA,
         "label": label,
         "created_unix": time.time(),
-        "git_rev": _git_rev(),
+        **_git_provenance(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
@@ -498,14 +510,13 @@ def compare_snapshots(
         old_s = {n: s for n, s in old_s.items() if n in wanted}
         new_s = {n: s for n, s in new_s.items() if n in wanted}
 
-    lines.append(
-        f"old: {old.get('label', '?')} ({old.get('git_rev') or 'no rev'}, "
-        f"python {old.get('python', '?')})"
-    )
-    lines.append(
-        f"new: {new.get('label', '?')} ({new.get('git_rev') or 'no rev'}, "
-        f"python {new.get('python', '?')})"
-    )
+    for side, snap in (("old", old), ("new", new)):
+        rev = snap.get("git_rev") or "no rev"
+        if snap.get("git_dirty"):
+            rev += "-dirty"
+        lines.append(
+            f"{side}: {snap.get('label', '?')} ({rev}, python {snap.get('python', '?')})"
+        )
     lines.append(f"wall-time regression threshold: x{threshold:g}")
     lines.append("")
 

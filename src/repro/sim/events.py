@@ -1,10 +1,12 @@
 """Event primitives for the discrete-event kernel.
 
 An :class:`Event` is a future occurrence at a simulated time with an
-attached callback.  The :class:`EventQueue` is a binary heap ordered by
-``(time, priority, sequence)`` — the monotonically increasing sequence
-number makes event ordering (and therefore whole simulations) fully
-deterministic even when many events share a timestamp.
+attached callback.  The :class:`EventQueue` is a binary heap of
+``(time, priority, sequence, event)`` tuples.  The monotonically
+increasing sequence number is unique, so tuple comparison never reaches
+the event itself: ordering is decided by C-level float/int comparisons
+alone, and it makes event ordering (and therefore whole simulations)
+fully deterministic even when many events share a timestamp.
 
 Cancellation is *lazy*: cancelled events stay in the heap but are
 skipped on pop.  This is the standard technique for heap-based agendas
@@ -99,13 +101,6 @@ class Event:
         self._fired = True
         self.callback()
 
-    # Heap ordering ----------------------------------------------------
-    def _key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
         label = self.name or getattr(self.callback, "__name__", "callback")
@@ -118,7 +113,7 @@ class EventQueue:
     __slots__ = ("_heap", "_counter", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -137,15 +132,16 @@ class EventQueue:
         name: Optional[str] = None,
     ) -> Event:
         """Insert a new event and return its handle."""
-        event = Event(time, priority, next(self._counter), callback, name, queue=self)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, callback, name, queue=self)
+        heapq.heappush(self._heap, (event.time, event.priority, seq, event))
         self._live += 1
         return event
 
     def peek_time(self) -> Optional[Seconds]:
         """Time of the earliest live event, or ``None`` if empty."""
         self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def pop(self) -> Event:
         """Remove and return the earliest live event.
@@ -159,7 +155,7 @@ class EventQueue:
         if not self._heap:
             raise SimulationError("pop from an empty event queue")
         self._live -= 1
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[3]
 
     def discard_cancelled(self) -> None:
         """Compact the heap by removing every cancelled entry.
@@ -167,10 +163,10 @@ class EventQueue:
         Useful for long simulations that cancel many timers; not needed
         for correctness.
         """
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3]._cancelled]
         heapq.heapify(self._heap)
 
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3]._cancelled:
             heapq.heappop(heap)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import numpy as np
@@ -278,9 +279,10 @@ class TestBitwiseAgainstReference:
             assert from_arrays.tolist() == from_lists.tolist()
 
     def test_row_reduction_matches_per_point_scan(self):
-        """The 2-D `np.sum(..., axis=1)` inside `_waterline_for_budget`
-        must be bitwise equal to the per-point 1-D scan it replaced
-        (promised in the quality_opt.py comment)."""
+        """numpy's row-wise 2-D `np.sum(..., axis=1)` is bitwise equal to
+        the per-point 1-D scan of `_waterline_ref`.  The list-based
+        waterline no longer batches rows; this keeps the reference
+        interchangeable with the batched form an earlier version used."""
         rng = np.random.default_rng(5)
         for _ in range(300):
             n = int(rng.integers(1, 16))
@@ -303,3 +305,96 @@ class TestBitwiseAgainstReference:
             quality_opt([5.0], [1.0], 0.0, -2.0)
         with pytest.raises(ValueError, match="offsets"):
             quality_opt([5.0], [1.0], 0.0, 2.0, offsets=[-0.5])
+
+
+class TestScalarWaterlineBitwise:
+    """The list-based waterline decides every comparison on a Python
+    sequential sum and re-decides it with the exact ``np.sum`` only
+    inside an error band.  These generators push it where the two sums
+    differ and where the band fallback must run: batches past numpy's
+    8-element pairwise threshold, tied offsets and tops, magnitudes from
+    1e-3 to 1e3, and budgets equal to an allocation at a breakpoint."""
+
+    def _batch(self, rng, n_max=40):
+        n = int(rng.integers(2, n_max + 1))
+        scale = float(10.0 ** rng.uniform(-3.0, 3.0))
+        # Values on a coarse grid (then scaled) tie offsets with each
+        # other and with tops of other jobs.
+        grid = float(rng.choice([1.0, 0.5, 0.1, 1e-3]))
+        offsets = np.round(rng.uniform(0.0, 20.0, n) / grid) * grid * scale
+        bounds = np.round(rng.uniform(0.0, 20.0, n) / grid) * grid * scale
+        offsets[rng.uniform(size=n) < 0.3] = 0.0
+        bounds[rng.uniform(size=n) < 0.1] = 0.0
+        return offsets, bounds
+
+    @staticmethod
+    def _breakpoint_budgets(offsets, bounds):
+        """Allocations at every breakpoint, each nudged so that the
+        waterline's ``≥ budget − _EPS`` test (or its ``Σ bounds ≤
+        budget + _EPS`` exit) lands on the exact ``np.sum`` value."""
+        points = np.unique(np.concatenate([offsets, offsets + bounds]))
+        allocs = [float(np.sum(np.clip(p - offsets, 0.0, bounds))) for p in points]
+        total = float(np.sum(bounds))
+        return [a + _EPS for a in allocs if a > 0.0] + [total - _EPS, total]
+
+    def test_waterline_matches_reference_on_breakpoint_budgets(self, monkeypatch):
+        qo = importlib.import_module("repro.core.quality_opt")
+        exact_calls = []
+        real = qo._np_sum
+        monkeypatch.setattr(qo, "_np_sum", lambda v: exact_calls.append(1) or real(v))
+        rng = np.random.default_rng(2024)
+        cases = finite = 0
+        for _ in range(150):
+            offsets, bounds = self._batch(rng)
+            budgets = self._breakpoint_budgets(offsets, bounds)
+            picks = rng.choice(len(budgets), size=min(6, len(budgets)), replace=False)
+            for i in picks:
+                budget = budgets[int(i)]
+                got = qo._waterline_for_budget(offsets.tolist(), bounds.tolist(), budget)
+                ref = _waterline_ref(offsets, bounds, budget)
+                assert got.hex() == ref.hex(), (offsets, bounds, budget)
+                cases += 1
+                finite += got != float("inf")
+        # Every finite waterline takes one exact sum (its ``alloc_lo``);
+        # the rest are band fallbacks, which this generator must reach.
+        assert len(exact_calls) - finite > cases // 4
+
+    def test_quality_opt_matches_reference_on_large_tied_batches(self):
+        """With ``now = 0`` and unit capacity, each prefix budget is its
+        deadline, so deadlines taken from breakpoint allocations put the
+        first block's decisions inside the band."""
+        rng = np.random.default_rng(77)
+        for _ in range(120):
+            offsets, bounds = self._batch(rng)
+            n = len(bounds)
+            deadlines = []
+            floor = 0.0
+            for k in range(n):
+                options = [
+                    b
+                    for b in self._breakpoint_budgets(offsets[: k + 1], bounds[: k + 1])
+                    if b >= floor
+                ]
+                if options and rng.uniform() < 0.7:
+                    floor = float(rng.choice(options))
+                else:
+                    floor += float(rng.uniform(0.0, 2.0)) * float(np.max(bounds) + 1e-3)
+                deadlines.append(floor)
+            offs = offsets if rng.uniform() < 0.8 else None
+            got = quality_opt(bounds.tolist(), deadlines, 0.0, 1.0, offsets=offs)
+            ref = _quality_opt_ref(bounds, deadlines, 0.0, 1.0, offsets=offs)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+
+    def test_random_capacity_batches_past_pairwise_threshold(self):
+        rng = np.random.default_rng(4321)
+        for _ in range(150):
+            offsets, bounds = self._batch(rng)
+            n = len(bounds)
+            gaps = rng.uniform(0.0, 1.0, n)
+            gaps[rng.uniform(size=n) < 0.3] = 0.0
+            now = float(rng.uniform(0.0, 5.0))
+            deadlines = now + 1e-3 + np.cumsum(gaps)
+            cap = float(np.sum(bounds)) * float(rng.uniform(0.05, 1.5)) + 1e-3
+            got = quality_opt(bounds, deadlines, now, cap, offsets=offsets)
+            ref = _quality_opt_ref(bounds, deadlines, now, cap, offsets=offsets)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]

@@ -77,6 +77,12 @@ def test_collect_snapshot_metadata(snapshot):
     assert snapshot["seed"] == 1
     assert snapshot["scale"] == _SCALE
     assert snapshot["python"]
+    # The revision carries a dirty flag beside it (both None outside git).
+    assert "git_rev" in snapshot and "git_dirty" in snapshot
+    if snapshot["git_rev"] is None:
+        assert snapshot["git_dirty"] is None
+    else:
+        assert isinstance(snapshot["git_dirty"], bool)
     assert [s["name"] for s in snapshot["scenarios"]] == [
         "ge_nominal",
         "fcfs_nominal",
@@ -105,6 +111,14 @@ def test_self_compare_passes(snapshot):
     comparison = compare_snapshots(snapshot, snapshot)
     assert comparison.ok
     assert "no regressions" in comparison.render()
+
+
+def test_compare_header_marks_dirty_tree(snapshot):
+    clean = dict(snapshot, git_rev="abc1234", git_dirty=False)
+    dirty = dict(snapshot, git_rev="abc1234", git_dirty=True)
+    lines = compare_snapshots(clean, dirty).render().splitlines()
+    assert lines[0].startswith("old: test (abc1234, python")
+    assert lines[1].startswith("new: test (abc1234-dirty, python")
 
 
 def test_compare_detects_wall_time_regression(snapshot):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -109,3 +111,42 @@ def test_discard_cancelled_compacts_heap():
     q.discard_cancelled()
     assert len(q._heap) == 10
     assert len(q) == 10
+
+
+def test_pop_order_is_sorted_time_priority_seq():
+    """The heap's pop order is exactly ``sorted((time, priority, seq))``
+    over the live events, through ties, cancellations, ``peek_time``
+    and ``discard_cancelled``."""
+    rng = random.Random(11)
+    q = EventQueue()
+    events = []
+    for _ in range(400):
+        # Few distinct times and priorities, so both kinds of tie abound.
+        time = float(rng.randrange(12)) * 0.25
+        priority = rng.choice((PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW))
+        events.append(q.push(time, lambda: None, priority=priority))
+    assert [e.seq for e in events] == list(range(400))
+    for e in rng.sample(events, 150):
+        e.cancel()
+
+    def live_keys():
+        return sorted((e.time, e.priority, e.seq) for e in events if e.pending)
+
+    popped = []
+    while q:
+        if len(popped) == 50:
+            q.discard_cancelled()
+            assert len(q._heap) == len(q)
+        if len(popped) % 7 == 3:
+            # Cancel a still-queued event, possibly the current head.
+            rng.choice([e for e in events if e.pending]).cancel()
+            if not q:
+                break
+        expected = live_keys()
+        assert q.peek_time() == expected[0][0]
+        e = q.pop()
+        assert (e.time, e.priority, e.seq) == expected[0]
+        e._fire()
+        popped.append(e)
+    assert live_keys() == [] and q.peek_time() is None
+    assert len(popped) + sum(e.cancelled for e in events) == 400
