@@ -25,15 +25,13 @@ to the *cumulative* quality the monitor tracks, not just the batch.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.quality.aggregate import quality_ratio
 from repro.quality.functions import QualityFunction
 from repro.units import Dimensionless, QualityFrac, VolumeArray, VolumeSeq
 
-__all__ = ["WaterlineMemo", "lf_cut_waterline", "lf_cut_stepwise"]
+__all__ = ["lf_cut_waterline", "lf_cut_stepwise"]
 
 
 def _batch_quality(
@@ -58,37 +56,6 @@ def _batch_quality(
     return quality_ratio(achieved, potential)
 
 
-class WaterlineMemo:
-    """Single-entry cross-round cache for :func:`lf_cut_waterline`.
-
-    The GE scheduler re-cuts the *same* demand vector whenever a round
-    fires without the active set changing (quantum ticks between
-    arrivals).  The memo keys on the exact demand bytes plus the target
-    and history terms, so any change — membership, order, target, or
-    monitor history — invalidates it.  Stored and returned arrays are
-    copies; callers may mutate their result freely.
-    """
-
-    __slots__ = ("_key", "_targets", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._key: Optional[Tuple[bytes, float, float, float]] = None
-        self._targets: Optional[np.ndarray] = None
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Tuple[bytes, float, float, float]) -> Optional[np.ndarray]:
-        if self._key == key and self._targets is not None:
-            self.hits += 1
-            return self._targets.copy()
-        self.misses += 1
-        return None
-
-    def put(self, key: Tuple[bytes, float, float, float], targets: np.ndarray) -> None:
-        self._key = key
-        self._targets = targets.copy()
-
-
 def lf_cut_waterline(
     f: QualityFunction,
     demands: VolumeSeq,
@@ -98,7 +65,6 @@ def lf_cut_waterline(
     base_potential: Dimensionless = 0.0,
     tol: Dimensionless = 1e-6,
     max_iter: int = 60,
-    memo: Optional[WaterlineMemo] = None,
 ) -> VolumeArray:
     """LF cut as a waterline: targets are ``min(p_j, L)``.
 
@@ -116,9 +82,6 @@ def lf_cut_waterline(
     ``_batch_quality(f, targets, demands, ...) >= q_target`` — the
     binary search keeps ``hi`` on the feasible side of the bracket at
     every step, so the returned level is never the infeasible ``lo``.
-
-    ``memo`` optionally caches the last result across rounds; see
-    :class:`WaterlineMemo`.
     """
     demands_arr = np.asarray(demands, dtype=float)
     if demands_arr.size == 0:
@@ -128,13 +91,6 @@ def lf_cut_waterline(
     if not 0.0 < q_target <= 1.0:
         raise ValueError(f"q_target must be in (0, 1], got {q_target!r}")
 
-    key: Optional[Tuple[bytes, float, float, float]] = None
-    if memo is not None:
-        key = (demands_arr.tobytes(), q_target, base_achieved, base_potential)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-
     top = float(np.max(demands_arr))
     # Evaluate f over the demand vector once; every bisection step below
     # reuses these per-job values instead of recomputing the whole batch.
@@ -143,18 +99,12 @@ def lf_cut_waterline(
     potential = base_potential + sum_f_demands
     full_q = quality_ratio(base_achieved + sum_f_demands, potential)
     if full_q <= q_target:
-        targets = demands_arr.copy()  # cannot afford any cutting
-        if memo is not None and key is not None:
-            memo.put(key, targets)
-        return targets
+        return demands_arr.copy()  # cannot afford any cutting
     zero_q = quality_ratio(
         base_achieved + float(np.sum(f(np.zeros_like(demands_arr)))), potential
     )
     if zero_q >= q_target:
-        targets = np.zeros_like(demands_arr)  # history surplus covers the batch
-        if memo is not None and key is not None:
-            memo.put(key, targets)
-        return targets
+        return np.zeros_like(demands_arr)  # history surplus covers the batch
 
     lo, hi = 0.0, top
     q_hi = full_q  # quality at the feasible (hi) end of the bracket
@@ -178,10 +128,7 @@ def lf_cut_waterline(
             break
     if q_hi < q_target:  # pragma: no cover - the invariant above forbids this
         hi, q_hi = top, full_q  # defensive: fall back to the known-feasible end
-    targets = np.minimum(demands_arr, hi)
-    if memo is not None and key is not None:
-        memo.put(key, targets)
-    return targets
+    return np.minimum(demands_arr, hi)
 
 
 def lf_cut_stepwise(

@@ -7,11 +7,9 @@ and the resulting per-core caps.  The log is bounded (ring buffer) so
 long runs stay cheap, and renders to rows for offline inspection —
 ``examples/diurnal_load.py``-style debugging without print statements.
 
-The log is now a thin view over the :mod:`repro.obs` tracing layer:
-construct it with a :class:`repro.obs.Tracer` and every recorded round
-is also emitted as a ``decision`` trace event, putting the ring buffer
-and the exported JSONL on the same stream.  The standalone (tracer-less)
-usage is unchanged.
+The log is a plain in-memory buffer.  The scheduler emits the same
+:class:`Decision` as a ``decision`` trace event when its harness is
+traced, whether or not a log is attached.
 """
 
 from __future__ import annotations
@@ -62,25 +60,17 @@ class DecisionLog:
         Maximum retained rounds.  ``None`` falls back to
         :data:`DEFAULT_CAPACITY` — the log is *always* bounded, so a
         forgotten ``maxlen=None`` can no longer grow without limit over
-        a long run (older rounds stay available through an attached
-        tracer's event stream instead).
-    tracer:
-        Optional :class:`repro.obs.Tracer`; when given (and enabled),
-        every :meth:`record` also emits a ``decision`` trace event.
+        a long run (older rounds stay available in a traced run's
+        ``decision`` events instead).
     """
 
-    def __init__(
-        self,
-        capacity: Optional[int] = DEFAULT_CAPACITY,
-        tracer: Optional[TracerLike] = None,
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY) -> None:
         if capacity is None:
             capacity = DEFAULT_CAPACITY
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self._records: Deque[Decision] = deque(maxlen=capacity)
         self._total = 0
-        self.tracer = tracer
 
     @property
     def capacity(self) -> int:
@@ -88,11 +78,9 @@ class DecisionLog:
         return self._records.maxlen
 
     def record(self, decision: Decision) -> None:
-        """Append one round's record (and emit it to the tracer, if any)."""
+        """Append one round's record."""
         self._records.append(decision)
         self._total += 1
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.decision(decision)
 
     def __len__(self) -> int:
         return len(self._records)

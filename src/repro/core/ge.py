@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.assignment import AssignmentPolicy, CumulativeRoundRobin
 from repro.core.decisions import DecisionLog
 from repro.errors import SchedulingError
-from repro.core.cutting import WaterlineMemo, lf_cut_waterline
+from repro.core.cutting import lf_cut_waterline
 from repro.core.load import ArrivalRateEstimator
 from repro.core.modes import ExecutionMode, ModeController
 from repro.core.planner import build_core_plan, core_power_demand, edf_sort
@@ -39,7 +39,6 @@ from repro.power.distribution import (
     PowerDistributionPolicy,
     WaterFilling,
 )
-from repro.server.core import Segment
 from repro.server.scheduler import Scheduler
 from repro.workload.job import Job
 
@@ -124,11 +123,8 @@ class GEScheduler(Scheduler):
         self._mean_demand: Volume = 0.0
         self._reschedules = 0
         self._last_policy: Optional[str] = None
-        # Hot-path caches (sized in bind(); see docs/performance.md).
-        self._waterline_memo = WaterlineMemo()
+        # Hot-path state (sized in bind(); see docs/performance.md).
         self._zero_demands = np.zeros(0)
-        self._plan_keys: List[Optional[Tuple[float, float, Tuple]]] = []
-        self._plan_segments: List[Optional[List[Segment]]] = []
         self._cap_memo: List[Optional[Tuple[float, float, float]]] = []
 
     # ------------------------------------------------------------------
@@ -150,10 +146,7 @@ class GEScheduler(Scheduler):
         self._active = [[] for _ in range(cfg.m)]
         self._failed_cores = set()
         self._mean_demand = cfg.demand_distribution().mean
-        self._waterline_memo = WaterlineMemo()
         self._zero_demands = np.zeros(cfg.m)
-        self._plan_keys = [None] * cfg.m
-        self._plan_segments = [None] * cfg.m
         self._cap_memo = [None] * cfg.m
 
     # ------------------------------------------------------------------
@@ -194,13 +187,11 @@ class GEScheduler(Scheduler):
         """
         self._failed_cores.add(core_index)
         self._active[core_index] = []
-        self._plan_keys[core_index] = None
         self._refresh_critical_rate()
         self.reschedule()
 
     def on_core_recovered(self, core_index: int) -> None:
         self._failed_cores.discard(core_index)
-        self._plan_keys[core_index] = None
         self._refresh_critical_rate()
         self.reschedule()
 
@@ -414,26 +405,16 @@ class GEScheduler(Scheduler):
             )
             if self.decision_log is not None:
                 self.decision_log.record(decision)
-            # The log forwards to its own tracer; emit directly only
-            # when that would not already have reached this tracer.
-            if tracing and (
-                self.decision_log is None or self.decision_log.tracer is not tracer
-            ):
+            if tracing:
                 tracer.decision(decision)
 
-        # 5. Per-core planning and installation.  A core whose queue
-        # state (jids, progress, targets) and power cap are unchanged
-        # since the previous round *at this same instant* would rebuild
-        # the exact same plan; the cached segments are reinstalled
-        # instead (see docs/performance.md for the invalidation rules).
+        # 5. Per-core planning and installation.  A core whose power cap
+        # is unchanged since its last plan reuses the memoized speed cap
+        # and throughput (see docs/performance.md).
         quality_opt_calls = 0
         energy_opt_calls = 0
-        plan_cache_hits = 0
+        cap_memo_hits = 0
         caps_n = len(caps)
-        # The default allocator is a pure function of the cache key; an
-        # injected one (the mixed-class extension) may read shared
-        # monitor state, so plan reuse is disabled for it.
-        cacheable = self._allocator is None
         with prof.phase("planner.build"):
             for idx, jobs in enumerate(per_core):
                 core = machine.cores[idx]
@@ -444,23 +425,12 @@ class GEScheduler(Scheduler):
                     # the call.
                     if core.has_work:
                         core.set_plan([])
-                    self._plan_keys[idx] = None
                     continue
                 cap = float(caps[idx]) if caps_n else 0.0
-                key = (
-                    now,
-                    cap,
-                    tuple((j.jid, j.processed, target_of[j.jid]) for j in jobs),
-                )
-                if cacheable and key == self._plan_keys[idx]:
-                    segments = self._plan_segments[idx]
-                    assert segments is not None
-                    core.set_plan(segments)
-                    plan_cache_hits += 1
-                    continue
                 cap_memo = self._cap_memo[idx]
                 if cap_memo is not None and cap_memo[0] == cap:
                     speed_cap, capacity = cap_memo[1], cap_memo[2]
+                    cap_memo_hits += 1
                 else:
                     speed_cap = machine.scales[idx].max_speed_at_power(cap)
                     capacity = machine.models[idx].throughput(speed_cap)
@@ -482,22 +452,15 @@ class GEScheduler(Scheduler):
                     if plan.segments:
                         energy_opt_calls += 1  # Energy-OPT ran on the survivors
                 core.set_plan(plan.segments)
-                if plan.settle_now:
-                    for job, outcome in plan.settle_now:
-                        harness.settle_job(job, outcome)
-                    # Settling changed the live set; the stored plan
-                    # could never match the next key anyway.
-                    self._plan_keys[idx] = None
-                else:
-                    self._plan_keys[idx] = key
-                    self._plan_segments[idx] = plan.segments
+                for job, outcome in plan.settle_now:
+                    harness.settle_job(job, outcome)
 
         if tracing:
             metrics = tracer.metrics
             metrics.counter("scheduler.rounds").inc()
             metrics.counter("planner.quality_opt_calls").inc(quality_opt_calls)
             metrics.counter("planner.energy_opt_calls").inc(energy_opt_calls)
-            metrics.counter("planner.plan_cache_hits").inc(plan_cache_hits)
+            metrics.counter("planner.cap_memo_hits").inc(cap_memo_hits)
             metrics.gauge("scheduler.queue_depth").set(queue_depth)
             metrics.histogram("scheduler.batch_size", bound=64).observe(len(batch))
             metrics.histogram("scheduler.active_jobs", bound=256).observe(len(all_jobs))
@@ -524,7 +487,6 @@ class GEScheduler(Scheduler):
                 self._q_target,
                 base_achieved=base_achieved,
                 base_potential=base_potential,
-                memo=self._waterline_memo,
             )
         else:
             targets = np.array([j.demand for j in all_jobs])

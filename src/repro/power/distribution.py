@@ -120,9 +120,7 @@ class DistributionDecision:
     caps:
         Per-core power caps (W); ``caps.sum() <= budget`` always holds
         for WF (the allocator renormalizes float drift away), and
-        ``caps`` may sum to exactly the budget for ES.  Policies may
-        return a *cached* decision when the inputs repeat, so callers
-        must treat ``caps`` as read-only.
+        ``caps`` may sum to exactly the budget for ES.
     policy:
         Short name of the policy that produced the caps ("ES"/"WF").
     """
@@ -149,17 +147,10 @@ class PowerDistributionPolicy(ABC):
 
 
 class EqualSharing(PowerDistributionPolicy):
-    """ES: every core is capped at ``budget / m`` regardless of demand.
-
-    The decision depends only on ``(m, budget)``, so consecutive calls
-    with the same shape and budget return one cached decision object.
-    """
+    """ES: every core is capped at ``budget / m`` regardless of demand."""
 
     name = "ES"
     needs_demands = False
-
-    def __init__(self) -> None:
-        self._cache: tuple[int, float, DistributionDecision] | None = None
 
     def distribute(self, demands: WattsArray, budget: PowerBudget) -> DistributionDecision:
         demands = np.asarray(demands, dtype=float)
@@ -167,13 +158,8 @@ class EqualSharing(PowerDistributionPolicy):
             raise InfeasibleError(f"negative power budget {budget!r}")
         if demands.size == 0:
             return DistributionDecision(caps=demands.copy(), policy=self.name)
-        cached = self._cache
-        if cached is not None and cached[0] == demands.size and cached[1] == budget:
-            return cached[2]
         caps = np.full(demands.shape, budget / demands.size)
-        decision = DistributionDecision(caps=caps, policy=self.name)
-        self._cache = (demands.size, budget, decision)
-        return decision
+        return DistributionDecision(caps=caps, policy=self.name)
 
 
 class WaterFilling(PowerDistributionPolicy):
@@ -185,27 +171,13 @@ class WaterFilling(PowerDistributionPolicy):
     schedulers where a core may later need to exceed its estimate.  In
     both branches the caps are renormalized so their sum never exceeds
     the budget by float rounding.
-
-    The allocation is a pure function of ``(demands, budget)``; the
-    last decision is cached and returned when the inputs repeat, which
-    makes the distribution incremental across scheduler rounds whose
-    active-core load vector did not change.
     """
 
     name = "WF"
 
-    def __init__(self, grant_surplus: bool = True) -> None:
-        self.grant_surplus = grant_surplus
-        self._cache: tuple[bytes, float, DistributionDecision] | None = None
-
     def distribute(self, demands: WattsArray, budget: PowerBudget) -> DistributionDecision:
-        demands = np.asarray(demands, dtype=float)
-        key = demands.tobytes()
-        cached = self._cache
-        if cached is not None and cached[0] == key and cached[1] == budget:
-            return cached[2]
         base = water_fill(demands, budget)
-        if self.grant_surplus and base.size:
+        if base.size:
             surplus = budget - float(np.sum(base))
             if surplus > 1e-12:
                 base = base + surplus / base.size
@@ -213,9 +185,7 @@ class WaterFilling(PowerDistributionPolicy):
                 # overshoot; charge them to the largest cap so
                 # Σ caps ≤ budget stays exact.
                 _renormalize_caps(base, budget)
-        decision = DistributionDecision(caps=base, policy=self.name)
-        self._cache = (key, budget, decision)
-        return decision
+        return DistributionDecision(caps=base, policy=self.name)
 
 
 class HybridDistribution(PowerDistributionPolicy):

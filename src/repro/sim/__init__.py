@@ -18,7 +18,6 @@ given a seed.
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
 from repro.sim.process import Interrupt, Process, Signal, Timeout
-from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim.timeline import StepTimeline
 
@@ -28,10 +27,8 @@ __all__ = [
     "Interrupt",
     "Process",
     "RandomStreams",
-    "Resource",
     "Signal",
     "Simulator",
     "StepTimeline",
-    "Store",
     "Timeout",
 ]

@@ -232,69 +232,3 @@ class TestBatchQualityConvention:
             1.0 + float(np.sum(F(targets))), 2.0 + float(np.sum(F(demands)))
         )
         assert _batch_quality(F, targets, demands, 1.0, 2.0) == expected
-
-
-# ---------------------------------------------------------------------------
-# WaterlineMemo: the cross-round cache must be a pure, mutation-safe
-# single-entry memo whose key covers every input that can change the cut.
-# ---------------------------------------------------------------------------
-
-
-class TestWaterlineMemo:
-    def _cut(self, memo, demands, q=0.9, base_a=0.0, base_p=0.0):
-        from repro.core.cutting import lf_cut_waterline
-
-        return lf_cut_waterline(
-            F, demands, q, base_achieved=base_a, base_potential=base_p, memo=memo
-        )
-
-    def test_hit_returns_equal_result_and_counts(self):
-        from repro.core.cutting import WaterlineMemo
-
-        memo = WaterlineMemo()
-        demands = np.array([900.0, 620.0, 380.0])
-        first = self._cut(memo, demands)
-        assert (memo.hits, memo.misses) == (0, 1)
-        second = self._cut(memo, demands)
-        assert (memo.hits, memo.misses) == (1, 1)
-        assert first.tolist() == second.tolist()
-
-    def test_cached_result_is_mutation_safe(self):
-        from repro.core.cutting import WaterlineMemo
-
-        memo = WaterlineMemo()
-        demands = np.array([900.0, 620.0, 380.0])
-        first = self._cut(memo, demands)
-        pristine = first.tolist()
-        first[:] = -1.0  # caller trashes its copy
-        second = self._cut(memo, demands)
-        assert second.tolist() == pristine
-
-    def test_any_key_component_change_misses(self):
-        from repro.core.cutting import WaterlineMemo
-
-        memo = WaterlineMemo()
-        demands = np.array([900.0, 620.0, 380.0])
-        self._cut(memo, demands)
-        self._cut(memo, np.array([900.0, 620.0, 381.0]))  # demands changed
-        assert memo.hits == 0
-        self._cut(memo, np.array([900.0, 620.0, 381.0]), q=0.8)  # target changed
-        assert memo.hits == 0
-        self._cut(memo, np.array([900.0, 620.0, 381.0]), q=0.8, base_a=1.0, base_p=2.0)
-        assert memo.hits == 0  # history changed
-        self._cut(memo, np.array([900.0, 620.0, 381.0]), q=0.8, base_a=1.0, base_p=2.0)
-        assert memo.hits == 1
-        assert memo.misses == 4
-
-    def test_memoized_equals_unmemoized(self):
-        from repro.core.cutting import WaterlineMemo
-
-        rng = np.random.default_rng(11)
-        memo = WaterlineMemo()
-        for _ in range(30):
-            demands = rng.uniform(1.0, 1000.0, int(rng.integers(1, 10)))
-            q = float(rng.uniform(0.3, 0.99))
-            plain = lf_cut_waterline(F, demands, q)
-            memod = self._cut(memo, demands, q=q)
-            memod2 = self._cut(memo, demands, q=q)  # hit path
-            assert plain.tolist() == memod.tolist() == memod2.tolist()

@@ -141,66 +141,101 @@ class TestReporting:
 
 
 class _CacheClearingGE(GEScheduler):
-    """GE with every cross-round cache wiped at the top of each round:
-    the control experiment proving the caches are pure memoization."""
+    """GE with its cross-round cap memo wiped at the top of each round:
+    the control experiment proving the memo is pure memoization."""
 
     def _run_round(self, tracer):
-        from repro.core.cutting import WaterlineMemo
-
-        m = len(self._plan_keys)
-        self._plan_keys = [None] * m
-        self._cap_memo = [None] * m
-        self._waterline_memo = WaterlineMemo()
-        self._hybrid.light._cache = None
-        self._hybrid.heavy._cache = None
+        self._cap_memo = [None] * len(self._cap_memo)
         super()._run_round(tracer)
 
 
+def _run(scheduler, **overrides):
+    cfg = SimulationConfig(arrival_rate=150.0, horizon=5.0, seed=3).with_overrides(
+        **overrides
+    )
+    return SimulationHarness(cfg, scheduler).run()
+
+
+_CONFIGS = [
+    {},                              # paper defaults (hybrid ES/WF)
+    {"arrival_rate": 400.0},         # heavy load -> WF branch
+    {"m": 4, "budget": 80.0},        # small machine, tight budget
+]
+_CONFIG_IDS = ["nominal", "heavy", "tight"]
+
+
 class TestPlanCacheSoundness:
-    """The plan cache, cap memo, waterline memo, and distribution
-    decision caches must never change a simulated result: a GE whose
-    caches are cleared every round produces the identical outcome."""
+    """The per-core cap memo must never change a simulated result: a GE
+    whose memo is cleared every round produces the identical outcome."""
 
-    def _run(self, scheduler, **overrides):
-        from repro.config import SimulationConfig
+    @pytest.mark.parametrize("overrides", _CONFIGS, ids=_CONFIG_IDS)
+    def test_cached_run_matches_cache_free_run(self, overrides):
+        cached = _run(GEScheduler(name="GE"), **overrides)
+        cleared = _run(_CacheClearingGE(name="GE"), **overrides)
+        assert cached == cleared
 
+    def test_cap_memo_hits_on_traced_light_load_run(self):
+        from repro.obs import Tracer
+
+        cfg = SimulationConfig(arrival_rate=100.0, horizon=2.0, seed=1)
+        tracer = Tracer()
+        SimulationHarness(cfg, GEScheduler(name="GE"), tracer=tracer).run()
+        metrics = tracer.to_trace().metrics
+        assert metrics["planner.cap_memo_hits"]["value"] > 0
+
+
+def _pin(harness):
+    result = harness.run()
+    return (
+        result.quality.hex(),
+        result.energy.hex(),
+        harness.sim.events_processed,
+        dict(sorted(result.outcomes.items())),
+    )
+
+
+class TestGoldenResults:
+    """Exact results recorded before the plan cache, waterline memo and
+    ES/WF decision caches were deleted: (quality and energy as
+    ``float.hex``, simulator events, outcome counts).  Any drift means a
+    change altered a simulated bit."""
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({}, ("0x1.cd3e0e1030946p-1", "0x1.f11d232c0d139p+9", 1942,
+              {"completed": 449, "cut": 157, "expired": 158})),
+        ({"arrival_rate": 400.0}, ("0x1.0703d06838a8dp-1", "0x1.9652a7f8d0676p+10", 5573,
+                                   {"cut": 1609, "expired": 383})),
+        ({"m": 4, "budget": 80.0}, ("0x1.6398cbb359d9bp-2", "0x1.974770e54f99cp+8", 2188,
+                                    {"cut": 669, "expired": 95})),
+    ], ids=_CONFIG_IDS)
+    def test_ge_run(self, overrides, expected):
         cfg = SimulationConfig(arrival_rate=150.0, horizon=5.0, seed=3).with_overrides(
             **overrides
         )
-        return SimulationHarness(cfg, scheduler).run()
+        assert _pin(SimulationHarness(cfg, GEScheduler(name="GE"))) == expected
 
-    @pytest.mark.parametrize("overrides", [
-        {},                              # paper defaults (hybrid ES/WF)
-        {"arrival_rate": 400.0},         # heavy load -> WF branch
-        {"m": 4, "budget": 80.0},        # small machine, tight budget
-    ], ids=["nominal", "heavy", "tight"])
-    def test_cached_run_matches_cache_free_run(self, overrides):
-        cached = self._run(GEScheduler(name="GE"), **overrides)
-        cleared = self._run(_CacheClearingGE(name="GE"), **overrides)
-        assert cached == cleared
-
-    def test_plan_cache_engages_on_same_instant_triggers(self):
-        """Plan reuse keys on the round instant, so it engages when a
-        burst of same-instant arrivals fires several rounds at one time
-        with most cores' queues and caps unchanged."""
-        from repro.config import SimulationConfig
-        from repro.obs import Tracer
-
+    def test_same_instant_burst(self):
+        """Eight arrivals at one instant fire several rounds at t=0.2."""
         jobs = [Job(jid=i, arrival=0.2, deadline=1.4, demand=400.0) for i in range(8)]
         cfg = SimulationConfig(arrival_rate=100.0, horizon=2.0, m=2, seed=1)
-        tracer = Tracer()
-        sched = GEScheduler(name="GE")
-        SimulationHarness(
-            cfg, sched, workload=StaticWorkload(jobs), tracer=tracer
-        ).run()
-        metrics = tracer.to_trace().metrics
-        assert metrics["planner.plan_cache_hits"]["value"] > 0
+        harness = SimulationHarness(cfg, GEScheduler(name="GE"), workload=StaticWorkload(jobs))
+        assert _pin(harness) == (
+            "0x1.ccccdb6170887p-1", "0x1.14a260a9a9955p+4", 26, {"cut": 6, "expired": 2}
+        )
 
-    def test_waterline_memo_engages_under_load(self):
-        from repro.config import SimulationConfig
+    def test_mixed_class_run(self):
+        from repro.mixed import MixedClassWorkload, make_mixed_ge
+        from repro.quality.functions import ExponentialQuality, LinearQuality
+        from repro.sim.rng import RandomStreams
 
-        cfg = SimulationConfig(arrival_rate=150.0, horizon=5.0, seed=3)
-        sched = GEScheduler(name="GE")
-        SimulationHarness(cfg, sched).run()
-        assert sched._waterline_memo.hits > 0
-        assert sched._waterline_memo.misses > 0
+        functions = [ExponentialQuality(c=0.009, x_max=1000.0), LinearQuality(x_max=1000.0)]
+        cfg = SimulationConfig(arrival_rate=120.0, horizon=1.0, seed=5)
+        scheduler, monitor = make_mixed_ge(functions)
+        workload = MixedClassWorkload(
+            cfg.workload(), [0.5, 0.5], streams=RandomStreams(seed=99)
+        )
+        harness = SimulationHarness(cfg, scheduler, workload=workload, monitor=monitor)
+        assert _pin(harness) == (
+            "0x1.e01fa59a8572cp-1", "0x1.29c41b6b178cfp+7", 304,
+            {"completed": 98, "cut": 11, "dropped": 10, "expired": 12},
+        )
