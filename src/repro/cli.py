@@ -481,6 +481,40 @@ def _interrupted(tracer, harness, *, out=None, store=False, runs_dir=None) -> in
     return 130
 
 
+def _run_one(config: SimulationConfig, scheduler, *, trace: bool,
+             out: Optional[str], sanitize: bool, stream: bool, store: bool,
+             runs_dir: Optional[str], timeline_csv: Optional[str] = None,
+             spans_csv: Optional[str] = None, summary: bool = True) -> int:
+    """Run one simulation and print its row plus the requested telemetry.
+
+    The shared path of ``run``, ``scenario`` and ``trace``: build the
+    tracer (``--store`` implies ``--stream``), run, and on Ctrl-C flush
+    what was recorded and exit 130.  Otherwise print the result row,
+    the sanitizer's verdict, and the stream summary or the buffered
+    trace (the latter only when tracing was asked for, not for a bare
+    ``--sanitize``).
+    """
+    stream = stream or store
+    tracer = _new_tracer_if(trace or bool(out), sanitize=sanitize,
+                            config=config, scheduler=scheduler,
+                            stream=stream, spill=out)
+    harness = SimulationHarness(config, scheduler, tracer=tracer)
+    try:
+        result = harness.run()
+    except KeyboardInterrupt:
+        return _interrupted(tracer, harness, out=out, store=store,
+                            runs_dir=runs_dir)
+    print(result.row())
+    _report_sanitizer(tracer)
+    if stream:
+        _emit_stream(tracer, result=result, out=out, store=store,
+                     runs_dir=runs_dir, summary=summary)
+    elif tracer is not None and (trace or out):
+        _emit_trace(tracer, out=out, timeline_csv=timeline_csv,
+                    spans_csv=spans_csv, summary=summary)
+    return 0
+
+
 def _fold_trace_file(path: str):
     """Fold a JSONL trace file into a run-style summary (constant memory)."""
     from repro.obs import fold_records, iter_jsonl
@@ -527,26 +561,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             budget=args.budget,
             q_ge=args.q_ge,
         )
-        scheduler = _SCHEDULERS[args.scheduler]()
-        stream = args.stream or args.store
-        tracer = _new_tracer_if(args.trace or bool(args.trace_out),
-                                sanitize=args.sanitize, config=config,
-                                scheduler=scheduler, stream=stream,
-                                spill=args.trace_out)
-        harness = SimulationHarness(config, scheduler, tracer=tracer)
-        try:
-            result = harness.run()
-        except KeyboardInterrupt:
-            return _interrupted(tracer, harness, out=args.trace_out,
-                                store=args.store, runs_dir=args.runs_dir)
-        print(result.row())
-        _report_sanitizer(tracer)
-        if stream:
-            _emit_stream(tracer, result=result, out=args.trace_out,
-                         store=args.store, runs_dir=args.runs_dir)
-        elif tracer is not None and (args.trace or args.trace_out):
-            _emit_trace(tracer, out=args.trace_out)
-        return 0
+        return _run_one(config, _SCHEDULERS[args.scheduler](),
+                        trace=args.trace, out=args.trace_out,
+                        sanitize=args.sanitize, stream=args.stream,
+                        store=args.store, runs_dir=args.runs_dir)
 
     if args.command == "sweep":
         names = [n.strip().upper() for n in args.schedulers.split(",") if n.strip()]
@@ -578,26 +596,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _resolve_scenario(args.name),
             arrival_rate=args.rate, horizon=args.horizon, seed=args.seed,
         )
-        scheduler = _SCHEDULERS[args.scheduler]()
-        stream = args.stream or args.store
-        tracer = _new_tracer_if(args.trace or bool(args.trace_out),
-                                sanitize=args.sanitize, config=config,
-                                scheduler=scheduler, stream=stream,
-                                spill=args.trace_out)
-        harness = SimulationHarness(config, scheduler, tracer=tracer)
-        try:
-            result = harness.run()
-        except KeyboardInterrupt:
-            return _interrupted(tracer, harness, out=args.trace_out,
-                                store=args.store, runs_dir=args.runs_dir)
-        print(result.row())
-        _report_sanitizer(tracer)
-        if stream:
-            _emit_stream(tracer, result=result, out=args.trace_out,
-                         store=args.store, runs_dir=args.runs_dir)
-        elif tracer is not None and (args.trace or args.trace_out):
-            _emit_trace(tracer, out=args.trace_out)
-        return 0
+        return _run_one(config, _SCHEDULERS[args.scheduler](),
+                        trace=args.trace, out=args.trace_out,
+                        sanitize=args.sanitize, stream=args.stream,
+                        store=args.store, runs_dir=args.runs_dir)
 
     if args.command == "report":
         if args.run or args.trace:
@@ -938,36 +940,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     horizon=args.horizon,
                     seed=args.seed,
                 )
-            scheduler = _SCHEDULERS[args.scheduler]()
-            stream = args.stream or args.store
-            if stream and (args.timeline_csv or args.spans_csv):
+            if (args.stream or args.store) and (args.timeline_csv or args.spans_csv):
                 print("--stream keeps no records to export as CSV; "
                       "drop --timeline-csv/--spans-csv or the stream flag")
                 return 2
-            tracer = _new_tracer_if(True, sanitize=args.sanitize,
-                                    config=config, scheduler=scheduler,
-                                    stream=stream, spill=args.out)
-            harness = SimulationHarness(config, scheduler, tracer=tracer)
-            try:
-                result = harness.run()
-            except KeyboardInterrupt:
-                return _interrupted(tracer, harness, out=args.out,
-                                    store=args.store, runs_dir=args.runs_dir)
-            print(result.row())
-            _report_sanitizer(tracer)
-            if stream:
-                _emit_stream(tracer, result=result, out=args.out,
-                             store=args.store, runs_dir=args.runs_dir,
-                             summary=not args.no_summary)
-            else:
-                _emit_trace(
-                    tracer,
-                    out=args.out,
-                    timeline_csv=args.timeline_csv,
-                    spans_csv=args.spans_csv,
-                    summary=not args.no_summary,
-                )
-            return 0
+            return _run_one(config, _SCHEDULERS[args.scheduler](),
+                            trace=True, out=args.out,
+                            sanitize=args.sanitize, stream=args.stream,
+                            store=args.store, runs_dir=args.runs_dir,
+                            timeline_csv=args.timeline_csv,
+                            spans_csv=args.spans_csv,
+                            summary=not args.no_summary)
         if args.trace_command == "show":
             from repro.obs.runs import format_run
 

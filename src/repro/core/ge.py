@@ -33,12 +33,7 @@ from repro.core.modes import ExecutionMode, ModeController
 from repro.core.planner import build_core_plan, core_power_demand, edf_sort
 from repro.obs.tracer import TracerLike
 from repro.units import PerSecond, QualityFrac, Seconds, Volume, WattsArray
-from repro.power.distribution import (
-    EqualSharing,
-    HybridDistribution,
-    PowerDistributionPolicy,
-    WaterFilling,
-)
+from repro.power.distribution import EqualSharing, PowerDistributionPolicy, WaterFilling
 from repro.server.scheduler import Scheduler
 from repro.workload.job import Job
 
@@ -111,7 +106,8 @@ class GEScheduler(Scheduler):
         # Bound in bind():
         self.controller: Optional[ModeController] = None
         self.estimator = ArrivalRateEstimator()
-        self._hybrid = HybridDistribution(light=EqualSharing(), heavy=WaterFilling())
+        self._es = EqualSharing()
+        self._wf = WaterFilling()
         self._active: List[List[Job]] = []
         self._critical_rate: PerSecond = float("inf")
         self._q_target: QualityFrac = 1.0
@@ -495,11 +491,11 @@ class GEScheduler(Scheduler):
     def _policy_for(self, now: Seconds) -> PowerDistributionPolicy:
         """The distribution branch for this round (may tick the estimator)."""
         if self.distribution_mode == "es":
-            return self._hybrid.light
+            return self._es
         if self.distribution_mode == "wf":
-            return self._hybrid.heavy
+            return self._wf
         heavy = self.estimator.is_heavy(now, self._critical_rate)
-        return self._hybrid.heavy if heavy else self._hybrid.light
+        return self._wf if heavy else self._es
 
     def _power_demands(
         self,

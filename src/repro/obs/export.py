@@ -85,9 +85,7 @@ def iter_jsonl(path: _PathLike) -> Iterator[Dict[str, Any]]:
     The streaming complement of :func:`read_jsonl`: nothing is
     materialized beyond the current line, so a multi-gigabyte trace
     can be analyzed in constant memory (feed the iterator to
-    :func:`repro.obs.stream.fold_records`,
-    :func:`repro.obs.analyze.mode_intervals` or
-    :func:`repro.obs.analyze.core_utilization`).  Record order is the
+    :func:`repro.obs.stream.fold_records`).  Record order is the
     file's order; ``meta`` headers validate their schema tag exactly
     like :func:`read_jsonl`, and later headers supersede earlier ones
     (a :class:`repro.obs.stream.StreamingTracer` spill file has a

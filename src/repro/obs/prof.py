@@ -28,9 +28,8 @@ by ``tests/obs/test_overhead.py``).
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Any, Callable, Dict, Optional, TypeVar, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.obs.registry import MetricsRegistry, PhaseTimer
 
@@ -45,8 +44,6 @@ __all__ = [
 
 #: Registry-name prefix for phase timers (``prof.scheduler.round`` …).
 PHASE_PREFIX = "prof."
-
-_F = TypeVar("_F", bound=Callable[..., Any])
 
 #: Anything instrumented code accepts as its profiling sink.
 ProfilerLike = Union["PhaseProfiler", "NullProfiler"]
@@ -112,19 +109,6 @@ class PhaseProfiler:
         """The phase's underlying timer (hoist out of tight loops)."""
         return self.registry.phase_timer(PHASE_PREFIX + name)
 
-    def wrap(self, name: str) -> Callable[[_F], _F]:
-        """Decorator form: profile every call of the wrapped function."""
-
-        def decorate(fn: _F) -> _F:
-            @functools.wraps(fn)
-            def inner(*args: Any, **kwargs: Any) -> Any:
-                with self.phase(name):
-                    return fn(*args, **kwargs)
-
-            return inner  # type: ignore[return-value]
-
-        return decorate
-
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Phase name → JSON-native stats (the ``prof.`` prefix stripped).
 
@@ -171,9 +155,6 @@ class NullProfiler:
 
     def phase(self, name: str) -> _NullPhase:
         return _NULL_PHASE
-
-    def wrap(self, name: str) -> Callable[[_F], _F]:
-        return lambda fn: fn
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return {}

@@ -14,7 +14,9 @@ headroom costs nothing.
   water ``level`` is chosen so allocations sum to the budget.  Under
   heavy load this funnels spare power to overloaded cores and improves
   quality.
-* **Hybrid** switches between them at the *critical load* threshold.
+
+GE switches between the two at the *critical load* threshold
+(:meth:`repro.core.ge.GEScheduler._policy_for`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.units import PowerBudget, WattsArray
 __all__ = [
     "DistributionDecision",
     "EqualSharing",
-    "HybridDistribution",
     "PowerDistributionPolicy",
     "WaterFilling",
     "water_fill",
@@ -186,33 +187,3 @@ class WaterFilling(PowerDistributionPolicy):
                 # Σ caps ≤ budget stays exact.
                 _renormalize_caps(base, budget)
         return DistributionDecision(caps=base, policy=self.name)
-
-
-class HybridDistribution(PowerDistributionPolicy):
-    """The paper's hybrid: ES under light load, WF under heavy load.
-
-    The caller decides lightness (via :mod:`repro.core.load`) and passes
-    it to :meth:`distribute_for_load`; :meth:`distribute` alone defaults
-    to the light-load branch so the class still satisfies the strategy
-    interface.
-    """
-
-    name = "HYBRID"
-
-    def __init__(
-        self,
-        light: PowerDistributionPolicy | None = None,
-        heavy: PowerDistributionPolicy | None = None,
-    ) -> None:
-        self.light = light or EqualSharing()
-        self.heavy = heavy or WaterFilling()
-
-    def distribute(self, demands: WattsArray, budget: PowerBudget) -> DistributionDecision:
-        return self.light.distribute(demands, budget)
-
-    def distribute_for_load(
-        self, demands: WattsArray, budget: PowerBudget, heavy_load: bool
-    ) -> DistributionDecision:
-        """Dispatch to the WF branch iff ``heavy_load``."""
-        policy = self.heavy if heavy_load else self.light
-        return policy.distribute(demands, budget)

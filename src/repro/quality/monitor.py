@@ -35,18 +35,10 @@ class QualityMonitor:
     ----------
     f:
         The quality function shared by all jobs.
-    history:
-        Optional exponential decay factor in (0, 1].  With the default
-        1.0 the monitor is fully cumulative like the paper's
-        formulation; values < 1 weight recent jobs more (provided for
-        experimentation, not used by the paper's configuration).
     """
 
-    def __init__(self, f: QualityFunction, history: Dimensionless = 1.0) -> None:
-        if not 0.0 < history <= 1.0:
-            raise ValueError(f"history factor must be in (0, 1], got {history!r}")
+    def __init__(self, f: QualityFunction) -> None:
         self.f = f
-        self.history = float(history)
         self._achieved: Dimensionless = 0.0
         self._potential: Dimensionless = 0.0
         self._settled_jobs = 0
@@ -89,11 +81,14 @@ class QualityMonitor:
         if demand < 0 or processed < 0:
             raise ValueError("volumes must be non-negative")
         processed = min(processed, demand)
-        if self.history < 1.0:
-            self._achieved *= self.history
-            self._potential *= self.history
-        self._achieved += float(self.f(processed))
-        self._potential += float(self.f(demand))
+        return self._settle(float(self.f(processed)), float(self.f(demand)), time)
+
+    def _settle(
+        self, achieved: Dimensionless, potential: Dimensionless, time: Optional[Seconds]
+    ) -> QualityFrac:
+        """Add one settled job's ``f(c_j)``/``f(p_j)`` and trace the new Q."""
+        self._achieved += achieved
+        self._potential += potential
         self._settled_jobs += 1
         q = self.quality
         if time is not None:

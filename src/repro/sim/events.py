@@ -157,15 +157,6 @@ class EventQueue:
         self._live -= 1
         return heapq.heappop(self._heap)[3]
 
-    def discard_cancelled(self) -> None:
-        """Compact the heap by removing every cancelled entry.
-
-        Useful for long simulations that cancel many timers; not needed
-        for correctness.
-        """
-        self._heap = [entry for entry in self._heap if not entry[3]._cancelled]
-        heapq.heapify(self._heap)
-
     def _drop_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0][3]._cancelled:

@@ -42,25 +42,12 @@ def test_phases_nest_inclusively():
 def test_recursive_phase_entries_each_count():
     prof = PhaseProfiler()
 
-    @prof.wrap("recurse")
     def fib(n: int) -> int:
-        return n if n < 2 else fib(n - 1) + fib(n - 2)
+        with prof.phase("recurse"):
+            return n if n < 2 else fib(n - 1) + fib(n - 2)
 
     assert fib(5) == 5
     assert prof.timer("recurse").count == 15  # every recursive entry
-
-
-def test_wrap_preserves_function_identity():
-    prof = PhaseProfiler()
-
-    @prof.wrap("named")
-    def some_function() -> int:
-        """Doc."""
-        return 7
-
-    assert some_function() == 7
-    assert some_function.__name__ == "some_function"
-    assert prof.timer("named").count == 1
 
 
 def test_snapshot_strips_prefix_and_filters_kinds():
@@ -98,13 +85,6 @@ def test_null_profiler_is_disabled_and_allocation_free():
     with NULL_PROFILER.phase("a") as handle:
         assert handle.elapsed == 0.0
     assert NULL_PROFILER.snapshot() == {}
-
-
-def test_null_profiler_wrap_is_identity():
-    def fn() -> int:
-        return 1
-
-    assert NULL_PROFILER.wrap("x")(fn) is fn
 
 
 def test_profiler_enabled_flag():

@@ -1,4 +1,4 @@
-"""Tests for ES / WF / hybrid power distribution."""
+"""Tests for ES / WF power distribution."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InfeasibleError
-from repro.power.distribution import (
-    EqualSharing,
-    HybridDistribution,
-    WaterFilling,
-    water_fill,
-)
+from repro.power.distribution import EqualSharing, WaterFilling, water_fill
 
 
 class TestWaterFill:
@@ -109,20 +104,6 @@ class TestPolicies:
             water_fill(demands, 45.0)
         )
 
-    def test_hybrid_switches_on_load(self):
-        hybrid = HybridDistribution()
-        demands = np.array([2.0, 100.0])
-        light = hybrid.distribute_for_load(demands, 40.0, heavy_load=False)
-        heavy = hybrid.distribute_for_load(demands, 40.0, heavy_load=True)
-        assert light.policy == "ES"
-        assert heavy.policy == "WF"
-        assert light.caps == pytest.approx([20.0, 20.0])
-        assert heavy.caps[0] == pytest.approx(2.0)
-
-    def test_hybrid_default_is_light(self):
-        hybrid = HybridDistribution()
-        assert hybrid.distribute(np.array([1.0, 1.0]), 10.0).policy == "ES"
-
 
 # ---------------------------------------------------------------------------
 # S2: float-drift renormalization — the cap-sum invariant Σ caps ≤ budget
@@ -203,4 +184,3 @@ class TestDecisionCaches:
     def test_needs_demands_flags(self):
         assert EqualSharing.needs_demands is False
         assert WaterFilling.needs_demands is True
-        assert HybridDistribution.needs_demands is True  # inherited default

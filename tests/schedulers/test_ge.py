@@ -130,6 +130,30 @@ class TestVariants:
         with pytest.raises(ValueError):
             GEScheduler(distribution="nope")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("mode", ["hybrid", "es", "wf"])
+    def test_distribution_switches_on_estimated_load(self, mode):
+        """Hybrid picks WF exactly when the estimator reports heavy load
+        and ES otherwise; "es"/"wf" return their policy at any load."""
+        sched = GEScheduler(distribution=mode)
+        SimulationHarness(SimulationConfig(seed=7), sched)  # binds
+        critical = sched._critical_rate
+        seen = set()
+        # Arrivals at twice the critical rate for 4 s, then none: the
+        # 2 s window sees the estimate climb past critical and drain.
+        arrivals = [i / (2.0 * critical) for i in range(int(8.0 * critical))]
+        now, k = 0.0, 0
+        while now <= 7.0:
+            while k < len(arrivals) and arrivals[k] <= now:
+                sched.estimator.observe(arrivals[k])
+                k += 1
+            heavy = sched.estimator.is_heavy(now, critical)
+            seen.add(heavy)
+            policy = sched._policy_for(now)
+            wants_wf = mode == "wf" or (mode == "hybrid" and heavy)
+            assert policy.name == ("WF" if wants_wf else "ES")
+            now += 0.25
+        assert seen == {False, True}
+
     def test_cut_with_history_cuts_deeper(self):
         plain = run(make_ge(), arrival_rate=100.0)
         hist = run(GEScheduler(name="GE-H", cut_with_history=True), arrival_rate=100.0)

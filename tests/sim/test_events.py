@@ -103,20 +103,9 @@ def test_event_state_flags():
     assert e.fired and not e.pending
 
 
-def test_discard_cancelled_compacts_heap():
-    q = EventQueue()
-    events = [q.push(float(i), lambda: None) for i in range(100)]
-    for e in events[10:]:
-        e.cancel()
-    q.discard_cancelled()
-    assert len(q._heap) == 10
-    assert len(q) == 10
-
-
 def test_pop_order_is_sorted_time_priority_seq():
     """The heap's pop order is exactly ``sorted((time, priority, seq))``
-    over the live events, through ties, cancellations, ``peek_time``
-    and ``discard_cancelled``."""
+    over the live events, through ties, cancellations and ``peek_time``."""
     rng = random.Random(11)
     q = EventQueue()
     events = []
@@ -134,9 +123,6 @@ def test_pop_order_is_sorted_time_priority_seq():
 
     popped = []
     while q:
-        if len(popped) == 50:
-            q.discard_cancelled()
-            assert len(q._heap) == len(q)
         if len(popped) % 7 == 3:
             # Cancel a still-queued event, possibly the current head.
             rng.choice([e for e in events if e.pending]).cancel()
